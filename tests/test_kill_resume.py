@@ -16,6 +16,7 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,8 @@ from tenzir_ray.cdc.lake import Lake
 
 BL = "/tmp/tzr_kill_bl"
 LAKE = "/tmp/tzr_kill_lake"
+# the checkout under test: the CLI subprocess imports tenzir_ray from here
+REPO_ROOT = str(Path(__file__).resolve().parents[1])
 
 
 def test_sigkill_mid_replay_then_rerun():
@@ -34,7 +37,7 @@ def test_sigkill_mid_replay_then_rerun():
         shard_events=5_000, content_median=128,
     )
 
-    env = dict(os.environ, RAY_GRAFT_CPUS="4", PYTHONPATH="/root/repo")
+    env = dict(os.environ, RAY_GRAFT_CPUS="4", PYTHONPATH=REPO_ROOT)
     cmd = [
         sys.executable, "-m", "tenzir_ray.cli", "replay",
         "--binlog", BL, "--lake", LAKE, "--buckets", "8", "--chunk-shards", "1",

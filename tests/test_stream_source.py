@@ -1,12 +1,18 @@
 """Pluggable StreamSource protocol: the CDC engine over a broker-style
 source (kafka consumer seam), plus the CLI stdin pipe."""
 
+import sys
+from pathlib import Path
+
 import duckdb
 import pyarrow as pa
 
 from tenzir_ray.cdc.engine import replay
 from tenzir_ray.cdc.lake import Lake
 from tenzir_ray.sources.stream import MemoryBrokerSource
+
+# the checkout under test: CLI subprocesses import tenzir_ray from here
+REPO_ROOT = str(Path(__file__).resolve().parents[1])
 
 
 def _record_schema():
@@ -124,9 +130,9 @@ def test_cli_stdin_pipe():
 
     lines = "\n".join(json.dumps({"x": i, "y": i * 2}) for i in range(10))
     r = subprocess.run(
-        ["python", "-m", "tenzir_ray.cli", "exec",
+        [sys.executable, "-m", "tenzir_ray.cli", "exec",
          "where x >= 5 | extend z = x + y", "--input", "-", "--format", "json"],
-        input=lines, capture_output=True, text=True, timeout=300, cwd="/root/repo",
+        input=lines, capture_output=True, text=True, timeout=300, cwd=REPO_ROOT,
     )
     assert r.returncode == 0, r.stderr[-2000:]
     out = [json.loads(ln) for ln in r.stdout.strip().splitlines()]
@@ -162,10 +168,10 @@ def test_cli_pcap_exec(tmp_path):
     p = str(tmp_path / "t.pcap")
     pcap.write_spec_pcap(p, n=40, seed=3)
     r = subprocess.run(
-        ["python", "-m", "tenzir_ray.cli", "exec",
+        [sys.executable, "-m", "tenzir_ray.cli", "exec",
          "decapsulate | where ip_proto == 6 | select ip_src, src_port, community_id | head 5",
          "--input", p, "--format", "pcap"],
-        capture_output=True, text=True, timeout=300, cwd="/root/repo",
+        capture_output=True, text=True, timeout=300, cwd=REPO_ROOT,
     )
     assert r.returncode == 0, r.stderr[-2000:]
     rows = [json.loads(ln) for ln in r.stdout.strip().splitlines()]
